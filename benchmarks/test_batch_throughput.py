@@ -2,28 +2,27 @@
 
 The serving scenario is many small requests against one machine — the
 ROADMAP's "one cached prepare artifact driving many concurrent
-simulations".  Three dimensions are measured into the schema-v3
+simulations".  Three dimensions are measured into the schema-v4
 ``BENCH_batch.json``:
 
-* **prepare amortisation** (the PR-2 rows): the *sequential* baseline is
-  the naive serve loop — a fresh (uncached) ``prepare`` plus one ``run``
-  per request on one thread — against the thread pool at several sizes,
-  where one warm prepare seeds the cache and every worker reuses the
-  shared artifact.  Thread workers interleave on the GIL, so this win is
-  amortisation, not parallelism; the interpreter row (trivial prepare)
-  shows none, while threaded and compiled must beat the naive loop.
-* **the executor dimension** (PR 5): the same batch pushed through every
+* **prepare amortisation**: the *sequential* baseline is the naive serve
+  loop — a fresh (uncached) ``prepare`` plus one ``run`` per request —
+  against the pooled batch, where one warm prepare serves every run.
+  This win is amortisation, not parallelism; the interpreter row
+  (trivial prepare) shows none, while threaded and compiled must beat
+  the naive loop.
+* **the executor dimension**: the same batch pushed through every
   strategy on a CPU-bound workload.  The process pool ships the lowered
   program to worker processes once and runs truly in parallel, so on a
-  multi-core host its runs/sec must beat the thread pool's — by >= 1.5x
-  for the compiled backend — and, with the tuned default chunk size (two
-  chunks per worker), must no longer lose to serial.  The process row
+  multi-core host its runs/sec must not lose to the in-process serial
+  strategy — and must beat it by >= 1.5x for the compiled backend, with
+  the tuned default chunk size (two chunks per worker).  The process row
   also records its dispatch/IPC columns (chunk size and count, queue
   wait, wall vs busy seconds) so chunking regressions are visible in the
   trajectory, not just in the rate.  On a single-core host the rows are
   recorded but the parallelism lines are not asserted (there is nothing
   to parallelise onto).
-* **the lane dimension** (this PR): small-cycle batches — the regime
+* **the lane dimension**: small-cycle batches — the regime
   where per-run dispatch dominates compute — pushed through the lane
   executor at several widths against the serial baseline on the same
   workload.  One walk of the schedule carries the whole lane group, so
@@ -71,14 +70,15 @@ BATCH_TRAJECTORY_PATH = (
 )
 
 #: Schema version of the batch trajectory file (bump when keys change).
-#: v2 added the executor dimension (serial/thread/process rows); v3 added
-#: the lane dimension (runs/sec per lane width on a small-cycle batch)
-#: and the process executor's dispatch/IPC columns.
-BATCH_TRAJECTORY_SCHEMA = 3
+#: v2 added the executor dimension; v3 added the lane dimension (runs/sec
+#: per lane width on a small-cycle batch) and the process executor's
+#: dispatch/IPC columns; v4 dropped the worker-thread strategy's column
+#: and its pool-size sweep (one pooled rate per backend).
+BATCH_TRAJECTORY_SCHEMA = 4
 
 #: Requests per amortisation measurement, cycles per request.  256 cycles
 #: keeps each request small enough that preparation is a real fraction of
-#: its cost — the regime the thread-pool serving layer exists for.
+#: its cost — the regime the pooled serving layer exists for.
 BATCH_RUNS = 4 if SMOKE else 16
 BATCH_CYCLES = 64 if SMOKE else 256
 
@@ -86,9 +86,6 @@ BATCH_CYCLES = 64 if SMOKE else 256
 #: tens of milliseconds, so a single scheduler hiccup on a busy host can
 #: halve one attempt — steady-state throughput is the best of a few.
 BATCH_ATTEMPTS = 1 if SMOKE else 3
-
-#: Thread-pool sizes measured; the amortisation line is drawn at 4 workers.
-POOL_SIZES = (1, 2, 4)
 
 #: The executor dimension runs a CPU-bound batch: enough cycles that the
 #: simulation phase dominates and parallelism (not amortisation) decides
@@ -103,9 +100,7 @@ EXEC_CYCLES = (
 
 #: Workers per strategy for the executor dimension (serial and lane run
 #: inline on the caller's thread by construction).
-EXEC_WORKERS = {
-    "serial": 1, "thread": 4, "process": 2 if SMOKE else 4, "lane": 1,
-}
+EXEC_WORKERS = {"serial": 1, "process": 2 if SMOKE else 4, "lane": 1}
 
 #: The lane dimension: a small-cycle batch on a small machine, where
 #: per-run dispatch overhead — not simulation compute — dominates.  That
@@ -173,7 +168,7 @@ def _measure_sequential(backend_factory, spec, runs, cycles):
 
 
 def _measure_batch(backend_factory, spec, pool_size, reference,
-                   runs=None, cycles=None, executor="thread",
+                   runs=None, cycles=None, executor="serial",
                    lane_width=None, trace=None, attempts=None):
     """Pooled batches on a given strategy, checked bit-identical.
 
@@ -197,7 +192,7 @@ def _measure_batch(backend_factory, spec, pool_size, reference,
                         max_workers=pool_size, executor=executor,
                         lane_width=lane_width) as pool:
         # steady-state throughput: a tiny warm-up batch makes every worker
-        # (thread or process) bind its prepared simulation before the clock
+        # process bind its prepared simulation before the clock
         pool.run_batch([RunRequest(cycles=1, collect_stats=False)] * pool_size)
         chunk_size = pool._strategy.default_chunk_size(runs)
         for _ in range(attempts):
@@ -255,7 +250,6 @@ def write_batch_trajectory(backends: dict[str, dict], path=BATCH_TRAJECTORY_PATH
             "cycles": BATCH_CYCLES,
             "runs": BATCH_RUNS,
         },
-        "pool_sizes": list(POOL_SIZES),
         "executors": {
             "names": list(EXECUTOR_NAMES),
             "workers": dict(EXEC_WORKERS),
@@ -277,7 +271,7 @@ def write_batch_trajectory(backends: dict[str, dict], path=BATCH_TRAJECTORY_PATH
 
 
 def test_batch_throughput_table(benchmark, small_sieve_machine):
-    """Measure every backend x pool size x executor and hold the lines."""
+    """Measure every backend x executor and hold the lines."""
     spec = small_sieve_machine.spec
 
     def measure():
@@ -286,14 +280,9 @@ def test_batch_throughput_table(benchmark, small_sieve_machine):
             sequential_rps, reference = _measure_sequential(
                 sequential_factory, spec, BATCH_RUNS, BATCH_CYCLES
             )
-            batch_rps = {
-                str(pool_size): round(
-                    _measure_batch(pooled_factory, spec, pool_size,
-                                   reference)[0],
-                    3,
-                )
-                for pool_size in POOL_SIZES
-            }
+            batch_rps = round(
+                _measure_batch(pooled_factory, spec, 1, reference)[0], 3
+            )
             # the executor dimension: a CPU-bound batch per strategy
             _, exec_reference = _measure_sequential(
                 sequential_factory, spec, 1, EXEC_CYCLES[name]
@@ -328,13 +317,9 @@ def test_batch_throughput_table(benchmark, small_sieve_machine):
     lines = ["", "Batch serving throughput (runs/sec, "
              f"{BATCH_RUNS} runs x {BATCH_CYCLES} cycles, small sieve)"]
     for name, row in rows.items():
-        batches = "  ".join(
-            f"pool{size}={row['batch_runs_per_second'][str(size)]:8.1f}"
-            for size in POOL_SIZES
-        )
         lines.append(
             f"  {name:<12s} sequential={row['sequential_runs_per_second']:8.1f}  "
-            + batches
+            f"pooled={row['batch_runs_per_second']:8.1f}"
         )
     lines.append(f"Executor dimension ({EXEC_RUNS} CPU-bound runs, "
                  f"cycles per backend: {EXEC_CYCLES})")
@@ -363,7 +348,7 @@ def test_batch_throughput_table(benchmark, small_sieve_machine):
     # the naive per-request-prepare loop once the artifact is cached/pooled
     for name in ("threaded", "compiled"):
         sequential = rows[name]["sequential_runs_per_second"]
-        pooled = rows[name]["batch_runs_per_second"]["4"]
+        pooled = rows[name]["batch_runs_per_second"]
         assert pooled > sequential, (
             f"{name}: pooled {pooled:.1f} runs/sec did not beat the naive "
             f"sequential loop at {sequential:.1f} runs/sec"
@@ -373,27 +358,20 @@ def test_batch_throughput_table(benchmark, small_sieve_machine):
         )
 
     # (2) parallelism: on a multi-core host the process pool must beat the
-    # GIL-bound thread pool on CPU-bound compiled/threaded batches, and the
-    # tuned default chunk size must keep it from losing to plain serial
+    # in-process serial strategy on CPU-bound compiled/threaded batches
+    # (the tuned default chunk size keeps its IPC from eating the win)
     if MULTI_CORE:
         for name, factor in (("threaded", 1.0), ("compiled", 1.5)):
-            threads = rows[name]["executor_runs_per_second"]["thread"]
+            serial = rows[name]["executor_runs_per_second"]["serial"]
             processes = rows[name]["executor_runs_per_second"]["process"]
-            assert processes >= factor * threads, (
+            assert processes >= factor * serial, (
                 f"{name}: process pool at {processes:.1f} runs/sec did not "
-                f"beat the thread pool at {threads:.1f} runs/sec "
+                f"beat serial at {serial:.1f} runs/sec "
                 f"(required {factor}x on this {_CPUS}-core host)"
             )
-            benchmark.extra_info[f"{name}_process_vs_thread"] = round(
-                processes / threads, 2
+            benchmark.extra_info[f"{name}_process_vs_serial"] = round(
+                processes / serial, 2
             )
-        serial = rows["compiled"]["executor_runs_per_second"]["serial"]
-        processes = rows["compiled"]["executor_runs_per_second"]["process"]
-        assert processes >= serial, (
-            f"compiled: process pool at {processes:.1f} runs/sec lost to "
-            f"serial at {serial:.1f} runs/sec on this {_CPUS}-core host "
-            "(the tuned chunk size should have prevented that)"
-        )
 
     # (3) vectorization: on the small-cycle workload the compiled backend's
     # lane executor must amortise per-run dispatch into a >= 3x win
@@ -411,9 +389,9 @@ def test_batch_throughput_table(benchmark, small_sieve_machine):
 
 def test_bench_batch_schema():
     """The trajectory file (written by the measurement test above) is
-    well-formed: every backend row carries positive throughput per pool
-    size, per executor and per lane width, and the serving wins hold
-    where asserted."""
+    well-formed: every backend row carries positive pooled throughput,
+    per executor and per lane width, and the serving wins hold where
+    asserted."""
     if _TRAJECTORY_WRITTEN is None:
         pytest.skip("batch throughput test did not run this session")
     document = json.loads(BATCH_TRAJECTORY_PATH.read_text())
@@ -422,7 +400,6 @@ def test_bench_batch_schema():
     assert document["schema"] == BATCH_TRAJECTORY_SCHEMA
     assert document["workload"]["machine"] == "stack-machine-sieve"
     assert document["workload"]["cycles"] == BATCH_CYCLES
-    assert document["pool_sizes"] == list(POOL_SIZES)
     assert document["executors"]["names"] == list(EXECUTOR_NAMES)
     assert document["lane_workload"]["machine"] == LANE_MACHINE
     assert document["lane_workload"]["widths"] == list(LANE_WIDTHS)
@@ -430,11 +407,7 @@ def test_bench_batch_schema():
     assert set(backends) == {"interpreter", "threaded", "compiled"}
     for name, row in backends.items():
         assert row["sequential_runs_per_second"] > 0, name
-        assert set(row["batch_runs_per_second"]) == {
-            str(size) for size in POOL_SIZES
-        }
-        for rate in row["batch_runs_per_second"].values():
-            assert rate > 0, name
+        assert row["batch_runs_per_second"] > 0, name
         assert set(row["executor_runs_per_second"]) == set(EXECUTOR_NAMES)
         for rate in row["executor_runs_per_second"].values():
             assert rate > 0, name
@@ -453,14 +426,11 @@ def test_bench_batch_schema():
     for name in ("threaded", "compiled"):
         row = backends[name]
         assert (
-            row["batch_runs_per_second"]["4"]
-            > row["sequential_runs_per_second"]
+            row["batch_runs_per_second"] > row["sequential_runs_per_second"]
         ), name
     lane = backends["compiled"]["lane_runs_per_second"]
     assert max(lane["widths"].values()) >= LANE_SPEEDUP_FLOOR * lane["serial"]
     if document["multi_core"]:
         for name in ("threaded", "compiled"):
             row = backends[name]["executor_runs_per_second"]
-            assert row["process"] >= row["thread"], name
-        row = backends["compiled"]["executor_runs_per_second"]
-        assert row["process"] >= row["serial"]
+            assert row["process"] >= row["serial"], name

@@ -81,7 +81,7 @@ echo "== tracing smoke (traced batch, JSONL export, /metrics scrape) =="
 # export, and /metrics must answer Prometheus text — so the
 # observability pipeline cannot silently rot between full test runs
 TRACE_DIR="$(mktemp -d)" REPRO_CACHE_DIR="$(mktemp -d)" python - <<'TRACESMOKE'
-import json, os, urllib.request
+import json, os, time, urllib.request
 from repro.serving import SimulationServer
 from repro.serving.tracing import JsonlExporter, coverage_fraction
 
@@ -95,9 +95,18 @@ with SimulationServer(port=0, trace_sink="jsonl",
         document = json.loads(r.read())
         trace_id = r.headers["X-Repro-Trace"]
     assert document["ok"], document
-    with urllib.request.urlopen(server.url + "/metrics", timeout=30) as r:
-        assert r.headers["Content-Type"].startswith("text/plain"), r.headers
-        scrape = r.read().decode()
+    # the trace (and with it the span histograms) is recorded just after
+    # the response bytes leave the server, so an immediate scrape can
+    # race the handler thread by a scheduling quantum
+    deadline = time.monotonic() + 10.0
+    while True:
+        with urllib.request.urlopen(server.url + "/metrics", timeout=30) as r:
+            assert r.headers["Content-Type"].startswith("text/plain"), r.headers
+            scrape = r.read().decode()
+        if ("repro_span_duration_seconds_bucket" in scrape
+                or time.monotonic() >= deadline):
+            break
+        time.sleep(0.01)
     assert "repro_http_requests_total" in scrape, scrape[:400]
     assert "repro_span_duration_seconds_bucket" in scrape, scrape[:400]
 traces = {t.trace_id: t for t in

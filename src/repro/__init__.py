@@ -16,7 +16,7 @@ The package is organised around the paper's two systems and their substrate:
 * :mod:`repro.analysis` — fault injection, profiling and equivalence checks;
 * :mod:`repro.serving` — batch/parallel serving: one cached prepare
   artifact fanned out over many concurrent runs on a pluggable execution
-  strategy — serial, thread, or a true multi-core process pool (the
+  strategy — serial, lane-vectorized, or a true multi-core process pool (the
   lowered program ships to workers once; the persistent artifact cache
   makes their cold start nearly free) — plus an asyncio front-end and
   the long-lived HTTP server (``repro serve``): warm pools kept across

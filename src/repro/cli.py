@@ -14,7 +14,7 @@ executable code".  This module provides the modern equivalent as
 * ``netlist``  — print the wiring list and bill of materials (Section 5.3);
 * ``serve-batch`` — fan N runs of one specification out over a worker pool
   (the serving layer, :mod:`repro.serving`) on a chosen execution strategy
-  (``--executor serial|thread|process|lane``), optionally checking the
+  (``--executor serial|process|lane``), optionally checking the
   batched results bit-identical against a sequential run;
 * ``serve``    — the long-lived simulation server: pools kept warm behind
   an HTTP JSON API (:mod:`repro.serving.server`; endpoints documented in
@@ -178,16 +178,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "-w", "--workers", type=int, default=4,
-        help="workers in the pool (default: 4)",
+        help="worker processes for --executor process (default: 4)",
     )
     serve_parser.add_argument(
         "--executor", choices=EXECUTOR_NAMES,
-        default="thread",
-        help="execution strategy: serial (inline), thread (GIL-bound "
-        "prepare amortisation), process (true multi-core; ships the "
-        "lowered program to worker processes once) or lane (N run "
-        "variants advanced together in one schedule walk) "
-        "(default: thread)",
+        default="serial",
+        help="execution strategy: serial (inline), process (true "
+        "multi-core; ships the lowered program to worker processes once) "
+        "or lane (N run variants advanced together in one schedule walk) "
+        "(default: serial)",
     )
     serve_parser.add_argument(
         "--chunk-size", type=int, default=None,
@@ -237,13 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     server_parser.add_argument(
         "--executor", choices=EXECUTOR_NAMES,
-        default="thread",
+        default="serial",
         help="default execution strategy for requests that do not name one "
-        "(default: thread)",
+        "(default: serial)",
     )
     server_parser.add_argument(
         "-w", "--workers", type=int, default=None,
-        help="workers per pool (default: strategy-chosen)",
+        help="worker processes per process-executor pool "
+        "(default: one per core, 2 to 8)",
     )
     server_parser.add_argument(
         "--chunk-size", type=int, default=None,
@@ -354,13 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default backend forwarded to every child (default: threaded)",
     )
     fleet_parser.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default="thread",
+        "--executor", choices=EXECUTOR_NAMES, default="serial",
         help="default execution strategy forwarded to every child "
-        "(default: thread)",
+        "(default: serial)",
     )
     fleet_parser.add_argument(
         "-w", "--workers", type=int, default=None,
-        help="workers per pool, per child (default: strategy-chosen)",
+        help="worker processes per process-executor pool, per child "
+        "(default: one per core, 2 to 8)",
     )
     fleet_parser.add_argument(
         "--chunk-size", type=int, default=None,
@@ -525,7 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated executor strategies for the pooled phase, "
         "empty for sequential-only "
-        "(default: serial,thread,process,lane)",
+        "(default: serial,process,lane)",
     )
 
     return parser
@@ -610,7 +611,8 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
                       executor=args.executor, chunk_size=args.chunk_size,
                       lane_width=args.lane_width)
     print(f"{args.spec.name}: {args.runs} runs on {args.backend} "
-          f"({args.workers} workers, {args.executor} executor)")
+          f"({batch.pool_size} worker{'s' * (batch.pool_size != 1)}, "
+          f"{batch.executor} executor)")
     print(batch.summary())
     for worker, rate in sorted(batch.per_worker_runs_per_second.items()):
         print(f"  {worker}: {batch.runs_by_worker[worker]} runs, "

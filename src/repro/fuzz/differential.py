@@ -14,7 +14,7 @@ thousands of generated machines:
   specopt'd interpreter, which executes the same optimized schedule).
 * **executor phase** — every backend × specopt configuration again, but
   through a :class:`~repro.serving.SimulationPool` on each executor
-  strategy (serial / thread / process / lane).  Each pooled run must be
+  strategy (serial / process / lane).  Each pooled run must be
   bit-identical — results, traces *and statistics* — to the sequential
   run of the same configuration.  Lane groups run untraced by design
   (tracing falls back to the scalar path), so the lane configurations

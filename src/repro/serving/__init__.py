@@ -17,19 +17,18 @@ Four pieces implement that:
   down to per-worker runs/sec and queue-wait statistics;
 * :class:`~repro.serving.executor.ExecutorStrategy`
   (:mod:`repro.serving.executor`) — the execution strategies: ``serial``
-  (inline baseline), ``thread`` (GIL-bound prepare amortisation),
-  ``process`` (true multi-core: the lowered program is pickled to worker
-  processes once at pool startup, requests travel in chunks, and the
-  persistent artifact cache makes worker cold starts nearly free) and
+  (inline on the caller's thread, the default), ``process`` (true
+  multi-core: the lowered program is pickled to worker processes once
+  at pool startup, requests travel in chunks, and the persistent
+  artifact cache makes worker cold starts nearly free) and
   ``lane`` (:mod:`repro.lowering.lanes`: N compatible run variants
   advanced together through one walk of the dependency-scheduled step
   list, amortising per-run dispatch overhead; composes with ``process``
   — lanes within each worker, chunks across workers);
 * :class:`~repro.serving.pool.SimulationPool` (:mod:`repro.serving.pool`)
-  — the pool over a chosen strategy, with backend-aware dispatch: the
-  cache-backed threaded and compiled backends share one cached prepare
-  artifact and bind it per worker, the interpreter shares its single warm
-  prepared program across the whole pool;
+  — the pool over a chosen strategy: one warm prepare, and every
+  in-process run shares that one re-entrant prepared simulation whatever
+  thread calls the pool;
 * :func:`~repro.serving.aio.async_run_batch` (:mod:`repro.serving.aio`)
   — the asyncio front-end wrapping the pool for async callers;
 * :class:`~repro.serving.server.SimulationServer`
@@ -76,10 +75,10 @@ per-span-kind latency histograms in Prometheus text format, aggregated
 with per-node labels at the router.
 
 The CLI exposes the layer as ``repro serve-batch --executor {serial,
-thread,process,lane}`` (one-shot) and ``repro serve`` (the long-lived
+process,lane}`` (one-shot) and ``repro serve`` (the long-lived
 server); the throughput benchmark
 (``benchmarks/test_batch_throughput.py``) writes ``BENCH_batch.json``
-(schema v3, with the executor and lane-width dimensions) from it, and
+(schema v4, with the executor and lane-width dimensions) from it, and
 the equivalence tests prove batched results bit-identical to sequential
 ones on every backend and every strategy — including over HTTP
 (``tests/serving/test_server.py``).
@@ -94,7 +93,6 @@ from repro.serving.executor import (
     ProcessExecutor,
     RunOutcome,
     SerialExecutor,
-    ThreadExecutor,
     WorkerContext,
     lane_compatible,
 )
@@ -137,7 +135,6 @@ __all__ = [
     "SimulationServer",
     "Span",
     "SqliteExporter",
-    "ThreadExecutor",
     "TraceRecorder",
     "WorkerContext",
     "async_run",

@@ -50,7 +50,7 @@ class RunRequest:
     shed without executing, and a running simulation is interrupted
     cooperatively by the instrumentation layer
     (:func:`repro.core.instrument.run_deadline`) — in-process for the
-    serial/thread executors, inside the worker for the process executor,
+    serial/lane executors, inside the worker for the process executor,
     which additionally arms a wall-clock backstop at twice the deadline
     for workers that stop responding entirely.  A timed-out run becomes a
     :class:`~repro.errors.DeadlineExceededError` item, never a hang.
@@ -153,8 +153,8 @@ class BatchItem:
     error: Exception | None = None
     #: wall-clock seconds this run occupied its worker (prepare + run)
     seconds: float = 0.0
-    #: label of the worker that ran this request (thread name, ``pid-N``
-    #: for a worker process, ``serial-0`` inline), or ``None`` when the
+    #: label of the worker that ran this request (``pid-N`` for a worker
+    #: process, ``serial-0`` / ``lane-0`` inline), or ``None`` when the
     #: run never reached a worker (e.g. its chunk failed to pickle)
     worker: str | None = None
     #: seconds this request (or its chunk) waited between submission and
@@ -187,8 +187,8 @@ class BatchResult:
     wall_seconds: float = 0.0
     #: seconds the pool spent on its warm-up ``prepare`` of the spec
     prepare_seconds: float = 0.0
-    #: execution strategy that ran the batch (serial / thread / process)
-    executor: str = "thread"
+    #: execution strategy that ran the batch (serial / process / lane)
+    executor: str = "serial"
     #: worker processes that died while this batch ran (process executor)
     worker_crashes: int = 0
     #: chunks/requests resubmitted after a worker crash

@@ -1,15 +1,14 @@
-"""Execution strategies for the serving pool: serial, thread, process, lane.
+"""Execution strategies for the serving pool: serial, process, lane.
 
-:class:`~repro.serving.pool.SimulationPool` used to be welded to one
-``ThreadPoolExecutor``; this module extracts the scheduling decision into
-an :class:`ExecutorStrategy` with four implementations:
+This module holds the scheduling decision of
+:class:`~repro.serving.pool.SimulationPool` as an
+:class:`ExecutorStrategy` with three implementations:
 
 * **serial** — every run executes inline on the caller's thread, in
-  submission order.  The baseline and the debugging strategy: no
-  concurrency, no queueing, deterministic scheduling.
-* **thread** — the classic pool: worker threads interleave on the GIL, so
-  the win is prepare amortisation (one cached artifact, many runs), not
-  CPU parallelism.  Right for I/O-bound hooks and modest batches.
+  submission order, on the pool's one warm prepared simulation.  The
+  in-process default: no queueing, deterministic scheduling.  Request
+  concurrency comes from the caller's own threads (the HTTP server gives
+  every connection one), not from a worker pool.
 * **process** — true multi-core serving.  Worker processes are started
   once per pool; each receives the parent's :class:`WorkerContext` — the
   specification plus the already-lowered, picklable
@@ -46,12 +45,7 @@ import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    Future,
-    InvalidStateError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -77,7 +71,7 @@ from repro.serving.batch import RunRequest
 from repro.serving.tracing import Span
 
 #: Registered execution strategies, in cost order.
-EXECUTOR_NAMES = ("serial", "thread", "process", "lane")
+EXECUTOR_NAMES = ("serial", "process", "lane")
 
 #: How a strategy runs one request: returns (result, busy seconds).
 ExecuteFn = Callable[[RunRequest], "tuple[SimulationResult, float]"]
@@ -118,7 +112,7 @@ class RunOutcome:
     """What one scheduled run produced, wherever it executed.
 
     Exactly one of ``result``/``error`` is set.  ``worker`` labels the
-    thread or process that ran the request; ``queue_seconds`` is the time
+    strategy or process that ran the request; ``queue_seconds`` is the time
     the request (or its chunk) waited between submission and execution
     start, measured on the system-wide monotonic clock so it is meaningful
     across process boundaries.
@@ -158,7 +152,7 @@ def execute_outcome(
     shed without executing, and an executing run is scoped under
     :func:`~repro.core.instrument.run_deadline` so the instrumentation
     hooks interrupt it cooperatively.  This one code path covers the
-    serial and thread executors in-process and the process executor
+    serial and lane executors in-process and the process executor
     inside its workers (``submitted`` is system-wide monotonic time, so
     the budget survives the process boundary).
 
@@ -302,35 +296,6 @@ class SerialExecutor(ExecutorStrategy):
 
     def close(self, wait: bool = True) -> None:
         pass
-
-
-class ThreadExecutor(ExecutorStrategy):
-    """The classic GIL-bound worker-thread pool (prepare amortisation)."""
-
-    name = "thread"
-
-    def __init__(self, execute: ExecuteFn, workers: int,
-                 thread_name_prefix: str = "repro") -> None:
-        super().__init__(workers=workers)
-        self._execute = execute
-        self._threads = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=thread_name_prefix
-        )
-
-    def submit_chunk(self, requests):
-        return self._threads.submit(
-            self._run_chunk, list(requests), time.monotonic()
-        )
-
-    def _run_chunk(self, requests, submitted):
-        worker = threading.current_thread().name
-        return [
-            execute_outcome(self._execute, request, submitted, worker)
-            for request in requests
-        ]
-
-    def close(self, wait: bool = True) -> None:
-        self._threads.shutdown(wait=wait)
 
 
 # ---------------------------------------------------------------------------

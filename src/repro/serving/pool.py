@@ -7,28 +7,18 @@ and seeds the prepare cache, so every later ``prepare`` of the same
 specification is a cache hit returning the *same* artifact.
 
 Scheduling is delegated to an execution strategy
-(:mod:`repro.serving.executor`): ``serial`` runs inline, ``thread`` fans
-out over worker threads (the GIL-bound prepare-amortisation engine), and
-``process`` ships the lowered program to worker processes once and scales
-with CPU cores.  ``chunk_size`` groups requests per scheduling unit to
-amortise IPC on the process strategy.
+(:mod:`repro.serving.executor`): ``serial`` runs inline, ``lane`` runs
+inline in lane groups, and ``process`` ships the lowered program to
+worker processes once and scales with CPU cores.  ``chunk_size`` groups
+requests per scheduling unit to amortise IPC on the process strategy.
 
-In-process dispatch (serial/thread) is backend-aware:
-
-* **threaded / compiled** (backend exposes a prepare ``cache``): each
-  worker thread binds its own
-  :class:`~repro.core.backend.PreparedSimulation` the first time it picks
-  up a run and reuses it afterwards.  Every worker's prepare is a cache
-  hit on the *same* shared lowered program
-  (:class:`~repro.lowering.program.CycleProgram`) — the expensive
-  artifacts derived from it (closure plans, byte-compiled module) are
-  memoized on the program, so the whole pool executes one IR (see
-  ``shared_program``).
-* **interpreter** (or any backend without a prepare cache): every worker
-  shares the pool's single warm prepared simulation.  Prepared
-  simulations are re-entrant by contract (each ``run`` builds fresh
-  mutable state), so one prepared interpreter program serves the whole
-  pool instead of re-lowering per run.
+Every in-process run (serial, lane) executes on the pool's one warm
+:class:`~repro.core.backend.PreparedSimulation`, whatever thread calls
+the pool.  Prepared simulations are re-entrant by contract (each ``run``
+builds a fresh run context and mutable state, and the artifacts memoized
+on the lowered program are lock-guarded), so concurrent callers — the
+HTTP server's per-connection threads — share one program without a
+per-thread prepare (see ``shared_program``).
 
 On the process strategy each worker binds its backend to the lowered
 program shipped at pool startup (see
@@ -36,10 +26,10 @@ program shipped at pool startup (see
 artifact cache (:class:`~repro.compiler.cache.DiskCache`) lets a worker's
 compiled backend skip code generation too.
 
-Throughput model: simulations are pure Python, so ``thread`` workers
-interleave on the GIL and win by paying preparation once; ``process``
-workers each own a core and win again by actually simulating in parallel
-— the dimension ``BENCH_batch.json`` measures.
+Throughput model: simulations are pure Python, so in-process runs share
+the GIL no matter how many threads call the pool; ``process`` workers
+each own a core and win by actually simulating in parallel — the
+dimension ``BENCH_batch.json`` measures.
 """
 
 from __future__ import annotations
@@ -65,7 +55,6 @@ from repro.serving.executor import (
     ProcessExecutor,
     RunOutcome,
     SerialExecutor,
-    ThreadExecutor,
     prepared_lane_outcomes,
     seed_disk_cache,
     worker_context_for,
@@ -78,18 +67,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return os.cpu_count() or 1
-
-
-def _default_workers(executor: str) -> int:
-    if executor in ("serial", "lane"):
-        # lane wins by vectorization on the caller's thread, not workers
-        return 1
-    if executor == "process":
-        # one worker per available core: the whole point is parallelism
-        return max(2, min(8, _available_cpus()))
-    # thread: the serving win is cache amortisation, not CPU parallelism,
-    # so a useful pool does not need one core per worker
-    return max(4, min(8, os.cpu_count() or 1))
 
 
 def batch_items(
@@ -142,10 +119,11 @@ def batch_items(
 class SimulationPool:
     """A worker pool serving many runs of one prepared specification.
 
-    ``executor`` picks the execution strategy (``"serial"``, ``"thread"``,
-    ``"process"`` or ``"lane"``); ``chunk_size`` fixes how many requests
-    travel per scheduling unit (default: one for serial/thread, about two
-    chunks per worker for process, the whole batch for lane).
+    ``executor`` picks the execution strategy (``"serial"``, ``"process"``
+    or ``"lane"``); ``chunk_size`` fixes how many requests travel per
+    scheduling unit (default: one for serial, about two chunks per worker
+    for process, the whole batch for lane).  ``max_workers`` sizes the
+    process strategy; serial and lane always run on the caller's thread.
     ``lane_width`` bounds how many compatible requests ride one lane
     group (see :mod:`repro.lowering.lanes`); on the process strategy a
     non-``None`` width turns on lanes *inside* each worker, composing
@@ -164,7 +142,7 @@ class SimulationPool:
         backend: BackendLike = "threaded",
         max_workers: int | None = None,
         codegen_options: CodegenOptions | None = None,
-        executor: str = "thread",
+        executor: str = "serial",
         chunk_size: int | None = None,
         artifact_cache: "DiskCache | str | Path | bool | None" = None,
         mp_context=None,
@@ -175,14 +153,16 @@ class SimulationPool:
                 f"unknown executor '{executor}'; expected one of "
                 f"{EXECUTOR_NAMES}"
             )
-        if max_workers is None:
-            max_workers = _default_workers(executor)
-        if max_workers <= 0:
+        if max_workers is not None and max_workers <= 0:
             raise ServingError(
                 f"max_workers must be positive, got {max_workers}"
             )
-        if executor in ("serial", "lane"):
+        if executor != "process":
+            # serial and lane execute on the caller's thread
             max_workers = 1
+        elif max_workers is None:
+            # one worker per available core: the whole point is parallelism
+            max_workers = max(2, min(8, _available_cpus()))
         if chunk_size is not None and chunk_size <= 0:
             raise ServingError(
                 f"chunk_size must be positive, got {chunk_size}"
@@ -196,14 +176,12 @@ class SimulationPool:
         self.chunk_size = chunk_size
         self.lane_width = lane_width
         self._backend = make_backend(backend, codegen_options)
-        # warm prepare on the caller's thread: seeds the shared cache (when
-        # the backend has one) and surfaces compilation errors eagerly,
-        # before any worker exists
+        # the one prepare, on the caller's thread: seeds the shared cache
+        # (when the backend has one) and surfaces compilation errors
+        # eagerly; every in-process run executes on this prepared simulation
         start = time.perf_counter()
         self._warm: PreparedSimulation = self._backend.prepare(spec)
         self.prepare_seconds = time.perf_counter() - start
-        self._reuse_prepared = getattr(self._backend, "cache", None) is not None
-        self._local = threading.local()
         self._strategy = self._build_strategy(executor, artifact_cache,
                                               mp_context)
         self._closed = False
@@ -223,12 +201,6 @@ class SimulationPool:
                 self._execute,
                 self.spec,
                 lane_width=self.lane_width,
-            )
-        if executor == "thread":
-            return ThreadExecutor(
-                self._execute,
-                workers=self.max_workers,
-                thread_name_prefix=f"repro-{self._backend.name}",
             )
         # process: seed the persistent artifact cache so worker cold starts
         # skip lowering and code generation, then ship the lowered program
@@ -260,13 +232,11 @@ class SimulationPool:
 
     @property
     def shared_program(self):
-        """The lowered program every in-process worker binds to, or ``None``.
+        """The lowered program every in-process run executes, or ``None``.
 
-        Cache-backed backends (threaded, compiled) share it through the
-        prepare cache; backends without one (the interpreter) share the
-        warm prepared simulation itself, so its program — when it exposes
-        one — is equally shared.  Process workers bind to a pickled copy
-        of this same program, shipped once at pool startup.
+        It belongs to the pool's one warm prepared simulation, which every
+        in-process run shares.  Process workers bind to a pickled copy of
+        this same program, shipped once at pool startup.
         """
         return getattr(self._warm, "program", None)
 
@@ -292,24 +262,11 @@ class SimulationPool:
         strategy (all zero except on the process executor)."""
         return self._strategy.counters()
 
-    # -- per-worker / per-run binding ---------------------------------------
-
-    def _prepared_for_run(self) -> PreparedSimulation:
-        """Backend-aware dispatch: per-thread cache-hit binding for
-        cache-backed backends, shared warm prepared otherwise."""
-        if not self._reuse_prepared:
-            # prepared simulations are re-entrant: one warm interpreter
-            # program serves every worker (no per-run re-lowering)
-            return self._warm
-        prepared = getattr(self._local, "prepared", None)
-        if prepared is None:
-            prepared = self._backend.prepare(self.spec)
-            self._local.prepared = prepared
-        return prepared
+    # -- in-process execution -----------------------------------------------
 
     def _execute(self, request: RunRequest) -> tuple[SimulationResult, float]:
         start = time.perf_counter()
-        prepared = self._prepared_for_run()
+        prepared = self._warm
         request.check_supported(prepared)
         result = prepared.run(
             cycles=request.cycles,
@@ -321,8 +278,8 @@ class SimulationPool:
         return result, time.perf_counter() - start
 
     def _execute_lanes(self, requests: "list[RunRequest]"):
-        """Run one compatible lane group on this thread's prepared binding."""
-        return prepared_lane_outcomes(self._prepared_for_run(), requests)
+        """Run one compatible lane group on the warm prepared simulation."""
+        return prepared_lane_outcomes(self._warm, requests)
 
     # -- submission ----------------------------------------------------------
 
@@ -456,7 +413,7 @@ def run_batch(
     request: BatchRequest,
     max_workers: int | None = None,
     codegen_options: CodegenOptions | None = None,
-    executor: str = "thread",
+    executor: str = "serial",
     chunk_size: int | None = None,
     lane_width: int | None = None,
 ) -> BatchResult:

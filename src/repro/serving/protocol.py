@@ -256,7 +256,7 @@ def with_default_timeout(
 
 #: Built specifications of the bundled machines, memoized per process:
 #: the registry is immutable, specifications are never mutated by a run
-#: (pools already share one instance across worker threads), and a warm
+#: (pools already share one instance across request threads), and a warm
 #: server should not rebuild the machine on every request.
 _BUNDLED_SPECS: dict[str, Specification] = {}
 
@@ -348,9 +348,16 @@ def resolve_backend(doc: Mapping, default: str) -> str:
 
 
 def resolve_executor(doc: Mapping, default: str) -> str:
-    """The validated executor name a request asks for."""
+    """The validated executor name a request asks for.
+
+    The retired ``"thread"`` strategy is accepted as ``"serial"``, in the
+    request field and the server default alike, so protocol-1 clients
+    that still name it keep working and share the serial pools.
+    """
     executor = doc.get("executor", default)
     _require_type(executor, str, "'executor'")
+    if executor == "thread":
+        executor = "serial"
     if executor not in EXECUTOR_NAMES:
         raise ProtocolError(
             f"unknown executor '{executor}'; "

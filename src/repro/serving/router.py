@@ -254,7 +254,7 @@ class FleetRouter:
         port: int = 0,
         *,
         default_backend: str = "threaded",
-        default_executor: str = "thread",
+        default_executor: str = "serial",
         quorum: int | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         forward_timeout: float = 600.0,
@@ -691,7 +691,7 @@ class ServingFleet:
         *,
         child_args: Sequence[str] = (),
         backend: str = "threaded",
-        executor: str = "thread",
+        executor: str = "serial",
         quorum: int | None = None,
         drain_timeout: float = 10.0,
         health_interval: float = 0.25,

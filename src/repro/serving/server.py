@@ -242,8 +242,9 @@ class PoolRegistry:
     creation lock for real milliseconds).
 
     ``max_pools`` caps how many pools stay warm: a server fed unbounded
-    distinct inline specs would otherwise grow a pool (with live worker
-    threads or processes) per fingerprint forever.  Past the cap the
+    distinct inline specs would otherwise grow a pool (with a warm
+    prepared simulation, and worker processes on the process executor)
+    per fingerprint forever.  Past the cap the
     least-recently-used pool is drained gracefully and evicted — the
     next request for that combination pays prepare again, which is the
     honest cost of exceeding the working set.  ``None`` means unbounded.
@@ -718,7 +719,7 @@ class SimulationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         backend: str = "threaded",
-        executor: str = "thread",
+        executor: str = "serial",
         max_workers: int | None = None,
         chunk_size: int | None = None,
         lane_width: int | None = None,

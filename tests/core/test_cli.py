@@ -108,7 +108,8 @@ class TestServeBatchCommand:
         assert main(["serve-batch", str(spec_file), "-n", "6", "-w", "2",
                      "-c", "10"]) == 0
         out = capsys.readouterr().out
-        assert "6 runs on threaded (2 workers, thread executor)" in out
+        # -w sizes process pools only; the default serial pool has one
+        assert "6 runs on threaded (1 worker, serial executor)" in out
         assert "6/6 runs ok" in out
         assert "runs/sec" in out
 

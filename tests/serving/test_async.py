@@ -1,26 +1,29 @@
 """Tests for the asyncio front-end (async_run / async_run_batch)."""
 
 import asyncio
+import time
 
 import pytest
 
 from repro.errors import ServingError
 from repro.rtl.parser import parse_spec
 from repro.serving import (
+    EXECUTOR_NAMES,
     BatchRequest,
     RunRequest,
     SimulationPool,
     async_run,
     async_run_batch,
 )
+from repro.serving.chaos import SleepyOverride
 
 
 class TestAsyncRunBatch:
     def test_owns_its_pool_by_default(self, counter_spec):
         request = BatchRequest.repeat(counter_spec, 6, cycles=10)
-        batch = asyncio.run(async_run_batch(request, max_workers=3))
+        batch = asyncio.run(async_run_batch(request))
         assert batch.ok
-        assert batch.pool_size == 3
+        assert (batch.executor, batch.pool_size) == ("serial", 1)
         assert [r.value("count") for r in batch.results] == [2] * 6
 
     def test_reuses_a_provided_pool(self, counter_spec):
@@ -58,25 +61,34 @@ class TestAsyncRunBatch:
         assert not batch.ok
         assert [item.ok for item in batch.items] == [True, False]
 
-    def test_event_loop_stays_responsive(self, counter_spec):
-        """A concurrent coroutine makes progress while the batch runs."""
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_event_loop_stays_responsive(self, counter_spec, executor):
+        """A concurrent coroutine ticks while the batch's run executes,
+        on every strategy (serial and lane run inline on whichever thread
+        calls the pool, so the batch must not run on the loop's)."""
         ticks = []
 
-        async def ticker():
-            for _ in range(3):
-                ticks.append(1)
-                await asyncio.sleep(0)
-
         async def scenario():
-            request = BatchRequest.repeat(counter_spec, 4, cycles=200)
-            batch, _ = await asyncio.gather(
-                async_run_batch(request, max_workers=2), ticker()
-            )
-            return batch
+            # a slowed run (~100 ms) the loop must not wait on
+            request = BatchRequest(counter_spec, [RunRequest(
+                cycles=10, override=SleepyOverride(seconds_per_call=0.002),
+            )])
+            task = asyncio.ensure_future(async_run_batch(
+                request, max_workers=1, executor=executor,
+            ))
+            while not task.done():
+                ticks.append(time.monotonic())
+                await asyncio.sleep(0.001)
+            return await task
 
         batch = asyncio.run(scenario())
-        assert batch.ok
-        assert len(ticks) == 3
+        assert batch.ok, [str(item.error) for item in batch.failures]
+        spans = {span.name: span for span in batch.items[0].spans}
+        run = spans["worker_run"]
+        assert any(run.start < tick < run.end for tick in ticks)
+        if executor == "process":
+            # the IPC return leg is traced like a synchronous batch's
+            assert "chunk_ipc" in spans
 
 
 class TestAsyncRun:

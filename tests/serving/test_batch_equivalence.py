@@ -20,10 +20,10 @@ from repro.serving import RunRequest, SimulationPool
 #: Every strategy that reorganises execution must preserve bit-identity
 #: (serial trivially shares the sequential code path and is covered by
 #: the executor tests).
-EXECUTORS = ("thread", "process", "lane")
+EXECUTORS = ("process", "lane")
 
 #: Workers per strategy in the sweep (lane runs inline on one thread).
-EXECUTOR_WORKERS = {"thread": 4, "process": 2, "lane": 1}
+EXECUTOR_WORKERS = {"process": 2, "lane": 1}
 
 #: Bundled machines exercised by the sweep; cycles capped to keep the
 #: interpreter rows fast while still covering memories, selectors and I/O.

@@ -148,7 +148,7 @@ class TestWorkerCrashRecovery:
 
 
 class TestDeadlines:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "lane"])
     def test_smoke_cooperative_deadline_interrupts_in_process(
         self, counter_spec, executor
     ):

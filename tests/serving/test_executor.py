@@ -1,4 +1,4 @@
-"""Tests for the execution strategies (serial / thread / process).
+"""Tests for the execution strategies (serial / process / lane).
 
 The process strategy is the interesting one: the lowered program is
 pickled to worker processes once at pool startup, requests travel in
@@ -64,6 +64,11 @@ class TestStrategyEquivalence:
     def test_unknown_executor_rejected(self, counter_spec):
         with pytest.raises(ServingError, match="unknown executor"):
             SimulationPool(counter_spec, executor="fiber")
+
+    def test_retired_thread_executor_rejected(self, counter_spec):
+        # only the wire protocol aliases "thread"; Python callers are told
+        with pytest.raises(ServingError, match="serial"):
+            SimulationPool(counter_spec, executor="thread")
 
     def test_nonpositive_chunk_size_rejected(self, counter_spec):
         with pytest.raises(ServingError, match="chunk_size"):

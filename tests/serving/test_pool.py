@@ -1,5 +1,6 @@
 """Tests for SimulationPool: dispatch, cache sharing, error capture."""
 
+import sys
 import threading
 
 import pytest
@@ -92,9 +93,10 @@ class TestBackendDispatch:
         with SimulationPool(counter_spec, backend=backend, max_workers=4) as pool:
             batch = pool.run_batch([RunRequest(cycles=5)] * 16)
         assert batch.ok
-        # one miss (the pool's warm prepare); every worker prepare hit it
+        # one miss (the pool's warm prepare), and no run prepares again:
+        # every run executes on the warm prepared simulation
         assert cache.stats.misses == 1
-        assert cache.stats.hits >= 1
+        assert cache.stats.hits == 0
         assert len(cache) == 1
 
     def test_compiled_workers_share_one_cached_artifact(self, counter_spec):
@@ -121,6 +123,47 @@ class TestBackendDispatch:
         assert batch.ok
         # prepared simulations are re-entrant: the warm prepare is the only
         # one, shared by every worker (no per-run prepare fallback anymore)
+        assert len(prepares) == 1
+
+    @pytest.mark.parametrize("backend_cls", [ThreadedBackend, CompiledBackend])
+    def test_one_prepare_whatever_the_calling_thread(self, counter_spec,
+                                                     backend_cls):
+        cycles = range(1, 17)
+        reference_sim = backend_cls(cache=False).prepare(counter_spec)
+        reference = [(c, reference_sim.run(cycles=c).final_values)
+                     for c in cycles]
+        backend = backend_cls(cache=PrepareCache())
+        prepares = []
+        original = backend.prepare
+
+        def counting_prepare(spec):
+            prepares.append(threading.get_ident())
+            return original(spec)
+
+        def caller(seen):
+            for c in cycles:
+                seen.append((c, pool.run(RunRequest(cycles=c)).final_values))
+
+        backend.prepare = counting_prepare
+        seen_by_caller = [[] for _ in range(4)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers' runs finely
+        try:
+            with SimulationPool(counter_spec, backend=backend) as pool:
+                callers = [threading.Thread(target=caller, args=(seen,))
+                           for seen in seen_by_caller]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        # concurrent runs on the one shared prepared simulation stay
+        # bit-identical to sequential ones
+        assert seen_by_caller == [reference] * 4
+        # the pool's one warm prepare serves every caller thread: a new
+        # thread (an HTTP connection) costs no prepare-cache lookup
         assert len(prepares) == 1
 
     def test_workers_bind_to_the_shared_lowered_program(self, counter_spec):
@@ -207,10 +250,10 @@ class TestModuleLevelRunBatch:
     def test_run_batch_builds_and_closes_a_pool(self, counter_spec):
         request = BatchRequest.repeat(counter_spec, 4, cycles=10,
                                       backend="compiled")
-        batch = run_batch(request, max_workers=2)
+        batch = run_batch(request)
         assert batch.ok
         assert batch.backend == "compiled"
-        assert batch.pool_size == 2
+        assert (batch.executor, batch.pool_size) == ("serial", 1)
         assert batch.prepare_seconds >= 0.0
 
     def test_per_item_seconds_recorded(self, counter_spec):

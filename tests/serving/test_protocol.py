@@ -155,21 +155,37 @@ class TestParseBatchRequest:
     def test_happy_path(self):
         batch = parse_batch_request(
             {"machine": "gcd", "runs": [{"cycles": 16}, {"tag": "b"}]},
-            default_backend="threaded", default_executor="thread",
+            default_backend="threaded", default_executor="serial",
         )
         assert batch.backend == "threaded"
-        assert batch.executor == "thread"
+        assert batch.executor == "serial"
         assert len(batch.runs) == 2
         assert batch.label == "gcd"
 
     def test_defaults_are_overridable(self):
         batch = parse_batch_request(
-            {"machine": "gcd", "backend": "compiled", "executor": "serial",
+            {"machine": "gcd", "backend": "compiled", "executor": "lane",
              "runs": [{}]},
-            default_backend="threaded", default_executor="thread",
+            default_backend="threaded", default_executor="serial",
         )
         assert batch.backend == "compiled"
+        assert batch.executor == "lane"
+
+    @pytest.mark.parametrize("doc,default", [
+        ({"executor": "thread"}, "process"),   # the wire field
+        ({}, "thread"),                         # the server default
+    ])
+    def test_retired_thread_executor_resolves_to_serial(self, doc, default):
+        from repro.serving.protocol import resolve_executor, shard_identity
+
+        assert resolve_executor(doc, default) == "serial"
+        batch = parse_batch_request(
+            {"machine": "gcd", "runs": [{}], **doc}, "threaded", default,
+        )
         assert batch.executor == "serial"
+        # the fleet shards it with the serial pool's requests
+        assert shard_identity({"machine": "gcd", **doc}, "threaded",
+                              default) == ("machine:gcd", "threaded", "serial")
 
     @pytest.mark.parametrize("doc,kind", [
         ({"machine": "gcd"}, "bad_request"),                  # no runs
@@ -180,7 +196,7 @@ class TestParseBatchRequest:
     ])
     def test_rejections_carry_a_kind(self, doc, kind):
         with pytest.raises(ProtocolError) as excinfo:
-            parse_batch_request(doc, "threaded", "thread")
+            parse_batch_request(doc, "threaded", "serial")
         assert excinfo.value.kind == kind
 
     def test_single_run_form_flattens_fields(self):
@@ -196,7 +212,7 @@ class TestParseBatchRequest:
     def test_single_run_form_rejects_runs_field(self):
         with pytest.raises(ProtocolError):
             parse_run_request({"machine": "counter", "runs": [{}]},
-                              "threaded", "thread")
+                              "threaded", "serial")
 
 
 class TestResultRoundTrip:
@@ -262,9 +278,9 @@ class TestShardIdentity:
         from repro.serving.protocol import shard_identity
 
         identity = shard_identity(
-            {"machine": "counter"}, "threaded", "thread"
+            {"machine": "counter"}, "threaded", "serial"
         )
-        assert identity == ("machine:counter", "threaded", "thread")
+        assert identity == ("machine:counter", "threaded", "serial")
 
     def test_request_fields_override_defaults(self):
         from repro.serving.protocol import shard_identity
@@ -272,7 +288,7 @@ class TestShardIdentity:
         identity = shard_identity(
             {"machine": "counter", "backend": "compiled",
              "executor": "process"},
-            "threaded", "thread",
+            "threaded", "serial",
         )
         assert identity == ("machine:counter", "compiled", "process")
 
@@ -282,10 +298,10 @@ class TestShardIdentity:
         from repro.serving.protocol import shard_identity
 
         by_text = shard_identity(
-            {"spec": counter_spec_text}, "threaded", "thread"
+            {"spec": counter_spec_text}, "threaded", "serial"
         )
         again = shard_identity(
-            {"spec": counter_spec_text}, "threaded", "thread"
+            {"spec": counter_spec_text}, "threaded", "serial"
         )
         assert by_text == again
         assert by_text[0].startswith("spec:")
@@ -294,10 +310,10 @@ class TestShardIdentity:
         from repro.serving.protocol import ProtocolError, shard_identity
 
         with pytest.raises(ProtocolError) as excinfo:
-            shard_identity({"machine": "no-such"}, "threaded", "thread")
+            shard_identity({"machine": "no-such"}, "threaded", "serial")
         assert excinfo.value.status == 404
         with pytest.raises(ProtocolError):
             shard_identity({"machine": "counter", "backend": "no-such"},
-                           "threaded", "thread")
+                           "threaded", "serial")
         with pytest.raises(ProtocolError):
-            shard_identity([], "threaded", "thread")
+            shard_identity([], "threaded", "serial")

@@ -404,6 +404,19 @@ class TestServing:
                     == ("traffic-light", "threaded")]
         assert len(matching) == 1  # one pool, reused — not one per request
 
+    def test_retired_thread_executor_reuses_the_serial_pool(self, server):
+        for executor in ("serial", "thread"):
+            status, document = post(server, "/v1/run", {
+                "machine": "fibonacci", "cycles": 5, "backend": "compiled",
+                "executor": executor,
+            })
+            assert status == 200
+            assert document["executor"] == "serial"
+        pools = [row for row in get(server, "/v1/stats")[1]["pools"]
+                 if (row["machine"], row["backend"])
+                 == ("fibonacci", "compiled")]
+        assert [row["executor"] for row in pools] == ["serial"]
+
     def test_stats_counts_requests(self, server):
         first = get(server, "/v1/stats")[1]["requests"]["total"]
         get(server, "/healthz")

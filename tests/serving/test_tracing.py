@@ -246,7 +246,7 @@ class TestErrorTraces:
         # interrupted, and either way its trace records a terminal error
         status, document, headers = post(server, "/v1/batch", {
             "machine": "counter",
-            "executor": "thread",
+            "executor": "serial",
             "runs": [
                 {"cycles": 2_000_000, "timeout_seconds": 0.001},
                 {"cycles": 4},
@@ -318,7 +318,7 @@ def make_trace(trace_id="t-1", spans=None) -> RequestTrace:
     return RequestTrace(
         trace_id=trace_id, route="/v1/run", status=200,
         started=1700000000.0, duration=1.0, spans=tuple(spans),
-        label="counter", backend="threaded", executor="thread",
+        label="counter", backend="threaded", executor="serial",
     )
 
 
