@@ -34,6 +34,7 @@ PUBLIC_DUNDERS = {"__init__.py", "__main__.py"}
 #: format (docs/api-reference.md) depends on them.
 REQUIRED_MODULES = (
     "serving/server.py",
+    "serving/http.py",
     "serving/protocol.py",
     "serving/pool.py",
     "serving/fleet.py",

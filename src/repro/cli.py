@@ -659,7 +659,8 @@ def _install_signal_drain() -> None:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serving.server import MAX_BODY_BYTES, SimulationServer
+    from repro.serving.http import MAX_BODY_BYTES
+    from repro.serving.server import SimulationServer
 
     if args.trace_sink != "none" and args.trace_dir is None:
         print(f"error: --trace-sink {args.trace_sink} requires --trace-dir",

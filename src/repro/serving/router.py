@@ -38,24 +38,21 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Sequence
 
 from repro.compiler.cache import _code_version
 from repro.serving.fleet import FleetSupervisor
+from repro.serving.http import MAX_BODY_BYTES, HttpApp, Request
 from repro.serving.protocol import (
     NODE_HEADER,
     PROTOCOL_VERSION,
     RETRY_HEADER,
     TRACE_HEADER,
     ProtocolError,
-    error_to_json,
     shard_identity,
 )
-from repro.serving.server import MAX_BODY_BYTES
 from repro.serving.tracing import (
     merge_node_metrics,
     metric_line,
@@ -100,152 +97,26 @@ POST_ROUTES = {
 }
 
 
-class _RouterSocket(ThreadingHTTPServer):
-    daemon_threads = True
-    app: "FleetRouter"
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests into :class:`FleetRouter` handlers.
-
-    Handlers return ``(status, body_bytes, headers)`` — raw bytes, not
-    documents, because the proxy paths pass upstream bodies through
-    byte-for-byte (bit-identity is the product; re-serialising JSON
-    would be a place for it to quietly break).
-    """
-
-    protocol_version = "HTTP/1.1"
-
-    def version_string(self) -> str:
-        return f"repro-fleet-router/{_version()}"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    @property
-    def app(self) -> "FleetRouter":
-        return self.server.app  # type: ignore[attr-defined]
-
-    def _respond(self, status: int, body: bytes,
-                 headers: Mapping[str, str]) -> None:
-        self.send_response(status)
-        if "Content-Type" not in headers:
-            self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_json(self, status: int, document: dict,
-                      headers: Mapping[str, str] | None = None) -> None:
-        self._respond(status, json.dumps(document).encode(), dict(headers or {}))
-
-    def _discard_body(self) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or "0")
-        except ValueError:
-            length = -1
-        if 0 <= length <= self.app.max_body_bytes:
-            while length > 0:
-                chunk = self.rfile.read(min(length, 65536))
-                if not chunk:
-                    break
-                length -= len(chunk)
-        else:
-            self.close_connection = True
-
-    def _read_body(self) -> bytes:
-        length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header or "")
-        except ValueError:
-            length = -1
-        if length < 0:
-            self.close_connection = True
-            raise ProtocolError(
-                "a JSON body with a valid non-negative Content-Length "
-                "header is required",
-                status=411, kind="length_required",
-            ) from None
-        if length > self.app.max_body_bytes:
-            self.close_connection = True
-            raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.app.max_body_bytes}-byte limit",
-                status=413, kind="body_too_large",
-            )
-        return self.rfile.read(length)
-
-    def _dispatch(self, routes: Mapping[str, str],
-                  other: Mapping[str, str]) -> None:
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        lookup = path
-        if path.startswith("/v1/trace/"):
-            # the one parameterised route: /v1/trace/<id> — the handler
-            # gets the full path so it can forward it verbatim
-            lookup = "/v1/trace"
-        handler_name = routes.get(lookup)
-        if handler_name is None:
-            self._discard_body()
-            self.app.count_error()
-            if lookup in other:
-                self._respond_json(405, error_to_json(
-                    "method_not_allowed",
-                    f"{path} does not accept {self.command}",
-                ))
-            else:
-                self._respond_json(404, error_to_json(
-                    "unknown_route",
-                    f"no such route: {path} (see docs/api-reference.md)",
-                ))
-            return
-        self.app.count_request(lookup)
-        headers: dict[str, str] = {}
-        try:
-            if self.command == "POST":
-                body = self._read_body()
-                status, payload, out_headers = getattr(self.app, handler_name)(
-                    path, body, dict(self.headers.items())
-                )
-            else:
-                status, payload, out_headers = getattr(self.app, handler_name)(path)
-        except ProtocolError as exc:
-            status = exc.status
-            payload = json.dumps(error_to_json(exc.kind, str(exc))).encode()
-            out_headers = {}
-            if exc.retry_after is not None:
-                out_headers["Retry-After"] = str(max(1, round(exc.retry_after)))
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            status = 500
-            payload = json.dumps(error_to_json(
-                "internal_error", f"{type(exc).__name__}: {exc}"
-            )).encode()
-            out_headers = {}
-        if status >= 400:
-            self.app.count_error()
-        headers.update(out_headers)
-        self._respond(status, payload, headers)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(GET_ROUTES, POST_ROUTES)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(POST_ROUTES, GET_ROUTES)
-
-
-class FleetRouter:
+class FleetRouter(HttpApp):
     """Stdlib front door over a :class:`FleetSupervisor`'s nodes.
 
-    Lifecycle mirrors :class:`~repro.serving.server.SimulationServer`:
-    the socket binds in the constructor (``port=0`` for ephemeral), then
+    Lifecycle is the shared one of :class:`~repro.serving.http.HttpApp`
+    (the same as :class:`~repro.serving.server.SimulationServer`'s): the
+    socket binds in the constructor (``port=0`` for ephemeral), then
     :meth:`start` (background thread) or :meth:`serve_forever`
-    (blocking) and :meth:`close`.  ``quorum`` is the number of ready
-    nodes ``/readyz`` requires; the default is a majority
+    (blocking) and :meth:`close`, which reports whether in-flight proxied
+    requests drained within ``drain_timeout``.  ``quorum`` is the number
+    of ready nodes ``/readyz`` requires; the default is a majority
     (``N // 2 + 1``).
+
+    Proxied bodies are raw bytes passed through byte for byte
+    (bit-identity is the product; re-serialising JSON would be a place
+    for it to quietly break).
     """
+
+    NAME = "repro-fleet-router"
+    GET_ROUTES = GET_ROUTES
+    POST_ROUTES = POST_ROUTES
 
     def __init__(
         self,
@@ -272,83 +143,13 @@ class FleetRouter:
         self.default_backend = default_backend
         self.default_executor = default_executor
         self.quorum = quorum
-        self.max_body_bytes = max_body_bytes
         self.forward_timeout = forward_timeout
         self.proxy_timeout = proxy_timeout
-        self.drain_timeout = drain_timeout
-        self.started_at = time.time()
         self.failovers = 0
-        self._requests: dict[str, int] = {}
-        self._errors = 0
-        self._counter_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._closed = False
-        self._serve_started = False
-        self._http = _RouterSocket((host, port), _RouterHandler)
-        self._http.app = self
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._http.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._http.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "FleetRouter":
-        self._serve_started = True
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="repro-fleet-router",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._serve_started = True
-        self._http.serve_forever()
-
-    def close(self) -> None:
-        """Stop accepting and finish in-flight proxied requests, bounded
-        by ``drain_timeout`` (same sacrificial-closer shape as the
-        server: a wedged upstream must not hang shutdown)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._serve_started:
-            self._http.shutdown()
-        closer = threading.Thread(
-            target=self._http.server_close,
-            name="repro-fleet-router-close",
-            daemon=True,
-        )
-        closer.start()
-        closer.join(timeout=self.drain_timeout)
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        super().__init__(host, port, max_body_bytes=max_body_bytes,
+                         drain_timeout=drain_timeout)
 
     # -- counters ------------------------------------------------------------
-
-    def count_request(self, route: str) -> None:
-        with self._counter_lock:
-            self._requests[route] = self._requests.get(route, 0) + 1
-
-    def count_error(self) -> None:
-        with self._counter_lock:
-            self._errors += 1
 
     def count_failover(self) -> None:
         with self._counter_lock:
@@ -430,17 +231,9 @@ class FleetRouter:
 
     # -- POST handlers -------------------------------------------------------
 
-    def handle_forward(self, path: str, body: bytes,
-                       headers: Mapping[str, str]):
-        try:
-            doc = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(
-                f"request body is not valid JSON: {exc}",
-                kind="malformed_json",
-            ) from exc
+    def handle_forward(self, request: Request):
         pool_key, backend, executor = shard_identity(
-            doc, self.default_backend, self.default_executor
+            request.doc, self.default_backend, self.default_executor
         )
         shard_key = f"{pool_key}|{backend}|{executor}"
         ready = dict(self.supervisor.ready_nodes())
@@ -457,24 +250,24 @@ class FleetRouter:
                 status=503, kind="no_healthy_node", retry_after=1.0,
             )
         forward_headers = {"Content-Type": "application/json"}
-        request_timeout = headers.get("X-Request-Timeout")
+        request_timeout = request.headers.get("X-Request-Timeout")
         if request_timeout is not None:
             forward_headers["X-Request-Timeout"] = request_timeout
         # Pin the trace id at the front door (minting one if the client
         # did not send a safe one) so the node's trace is retrievable by
         # the id the client saw — even across a mid-request failover.
         forward_headers[TRACE_HEADER] = sanitize_trace_id(
-            headers.get(TRACE_HEADER)
+            request.headers.get(TRACE_HEADER)
         )
         candidates = [(node_id, ready[node_id]) for node_id in order[:2]]
         return self._attempt_nodes(
-            candidates, "POST", path, body, forward_headers,
+            candidates, "POST", request.path, request.body, forward_headers,
             self.forward_timeout,
         )
 
     # -- GET handlers --------------------------------------------------------
 
-    def handle_proxy_get(self, path: str):
+    def handle_proxy_get(self, request: Request):
         """Static discovery routes (machines, backends): any ready node
         answers identically, so forward to the first one that works."""
         ready = self.supervisor.ready_nodes()
@@ -484,16 +277,16 @@ class FleetRouter:
                 status=503, kind="no_healthy_node", retry_after=1.0,
             )
         return self._attempt_nodes(
-            ready[:2], "GET", path, None, {}, self.proxy_timeout
+            ready[:2], "GET", request.path, None, {}, self.proxy_timeout
         )
 
-    def handle_trace(self, path: str):
+    def handle_trace(self, request: Request):
         """``GET /v1/trace/<id>``: find the node that served the traced
         request.  Only the node that ran a request holds its trace (each
         keeps its own ring buffer), so the router fans the lookup out to
         every ready node and passes the first hit through — a miss
         everywhere is an honest 404."""
-        trace_id = path[len("/v1/trace/"):] if path.startswith("/v1/trace/") else ""
+        trace_id = request.arg or ""
         ready = self.supervisor.ready_nodes()
         if not ready:
             raise ProtocolError(
@@ -503,7 +296,8 @@ class FleetRouter:
         for node_id, node_url in ready:
             try:
                 status, upstream, payload = self._forward(
-                    node_url, "GET", path, None, {}, self.proxy_timeout
+                    node_url, "GET", request.path, None, {},
+                    self.proxy_timeout,
                 )
             except (OSError, http.client.HTTPException):
                 continue
@@ -518,13 +312,10 @@ class FleetRouter:
             status=404, kind="unknown_trace",
         )
 
-    def handle_metrics(self, path: str):
+    def handle_metrics(self, request: Request):
         """``GET /metrics``: router counters plus every ready node's own
         ``/metrics`` payload merged under per-node ``node=<id>`` labels."""
-        with self._counter_lock:
-            by_route = dict(self._requests)
-            errors = self._errors
-            failovers = self.failovers
+        by_route, errors = self.request_counters()
         states: dict[str, int] = {}
         node_texts: dict[str, str] = {}
         for snap in self.supervisor.describe():
@@ -555,7 +346,7 @@ class FleetRouter:
             "# HELP repro_router_failovers_total Forwards retried on a "
             "sibling node after a transport failure or 5xx.",
             "# TYPE repro_router_failovers_total counter",
-            metric_line("repro_router_failovers_total", failovers),
+            metric_line("repro_router_failovers_total", self.failovers),
             "# HELP repro_router_nodes Fleet nodes by supervisor state.",
             "# TYPE repro_router_nodes gauge",
             *(metric_line("repro_router_nodes", states[state],
@@ -563,11 +354,9 @@ class FleetRouter:
               for state in sorted(states)),
         ]
         lines.extend(merge_node_metrics(node_texts))
-        body = ("\n".join(lines) + "\n").encode()
-        content_type = "text/plain; version=0.0.4; charset=utf-8"
-        return 200, body, {"Content-Type": content_type}
+        return 200, "\n".join(lines) + "\n", {}
 
-    def handle_healthz(self, path: str):
+    def handle_healthz(self, request: Request):
         document = {
             "protocol": PROTOCOL_VERSION,
             "status": "ok",
@@ -575,9 +364,9 @@ class FleetRouter:
             "version": _version(),
             "uptime_seconds": time.time() - self.started_at,
         }
-        return 200, json.dumps(document).encode(), {}
+        return 200, document, {}
 
-    def handle_readyz(self, path: str):
+    def handle_readyz(self, request: Request):
         ready = len(self.supervisor.ready_nodes())
         document = {
             "protocol": PROTOCOL_VERSION,
@@ -587,18 +376,15 @@ class FleetRouter:
         }
         if self._closed or self.supervisor.draining:
             document.update(ready=False, reason="draining")
-            return 503, json.dumps(document).encode(), {}
+            return 503, document, {}
         if ready < self.quorum:
             document.update(ready=False, reason="no_quorum")
-            return 503, json.dumps(document).encode(), {}
+            return 503, document, {}
         document["ready"] = True
-        return 200, json.dumps(document).encode(), {}
+        return 200, document, {}
 
-    def handle_fleet(self, path: str):
-        with self._counter_lock:
-            requests_total = sum(self._requests.values())
-            errors = self._errors
-            failovers = self.failovers
+    def handle_fleet(self, request: Request):
+        by_route, errors = self.request_counters()
         document = {
             "protocol": PROTOCOL_VERSION,
             "role": "router",
@@ -606,21 +392,18 @@ class FleetRouter:
             "ready_nodes": len(self.supervisor.ready_nodes()),
             "draining": self.supervisor.draining,
             "router": {
-                "requests": requests_total,
+                "requests": sum(by_route.values()),
                 "errors": errors,
-                "failovers": failovers,
+                "failovers": self.failovers,
             },
             "nodes": self.supervisor.describe(),
         }
-        return 200, json.dumps(document).encode(), {}
+        return 200, document, {}
 
-    def handle_stats(self, path: str):
+    def handle_stats(self, request: Request):
         """Fleet-wide stats: router counters, per-node stats documents,
         and summed totals over the nodes that answered."""
-        with self._counter_lock:
-            by_route = dict(self._requests)
-            errors = self._errors
-            failovers = self.failovers
+        by_route, errors = self.request_counters()
         totals = {
             "requests": 0,
             "errors": 0,
@@ -666,12 +449,12 @@ class FleetRouter:
                     "by_route": by_route,
                     "errors": errors,
                 },
-                "failovers": failovers,
+                "failovers": self.failovers,
             },
             "totals": totals,
             "nodes": nodes,
         }
-        return 200, json.dumps(document).encode(), {}
+        return 200, document, {}
 
 
 class ServingFleet:

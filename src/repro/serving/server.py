@@ -6,9 +6,10 @@ a pool's warm-up on every invocation; the server pays it **once per
 warm workers,
 seeded prepare cache, shipped lowered program — alive across any number
 of client requests, so a repeat client's request costs only the run
-itself.  It is standard library only (`http.server.ThreadingHTTPServer`
-with the JSON wire protocol of :mod:`repro.serving.protocol`), so any
-HTTP client — ``curl`` included — is a client.
+itself.  It is standard library only (the shared HTTP edge of
+:mod:`repro.serving.http` with the JSON wire protocol of
+:mod:`repro.serving.protocol`), so any HTTP client — ``curl`` included —
+is a client.
 
 Endpoints (documented with schemas and examples in
 ``docs/api-reference.md``, kept in sync by a test):
@@ -59,12 +60,10 @@ cache policy) lives in ``docs/serving.md``.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.message import Message
 from pathlib import Path
-from typing import Callable, Mapping
 
 from repro.compiler.cache import (
     DiskCache,
@@ -73,15 +72,11 @@ from repro.compiler.cache import (
     resolve_disk,
 )
 from repro.core.simulator import BACKEND_NAMES, make_backend
-from repro.errors import (
-    AsimError,
-    DeadlineExceededError,
-    ServingError,
-    WorkerCrashError,
-)
+from repro.errors import ServingError
 from repro.machines.library import all_machines
 from repro.serving.batch import BatchResult
 from repro.serving.executor import EXECUTOR_NAMES
+from repro.serving.http import MAX_BODY_BYTES, HttpApp, Request
 from repro.serving.pool import SimulationPool
 from repro.serving.protocol import (
     PROTOCOL_VERSION,
@@ -89,8 +84,6 @@ from repro.serving.protocol import (
     ParsedBatch,
     ProtocolError,
     batch_result_to_json,
-    error_kind,
-    error_to_json,
     parse_batch_request,
     parse_run_request,
     with_default_timeout,
@@ -100,13 +93,7 @@ from repro.serving.tracing import (
     TraceRecorder,
     make_exporter,
     metric_line,
-    sanitize_trace_id,
 )
-
-#: Largest request body the server will read by default (a batch of
-#: thousands of run objects fits comfortably; anything bigger is a client
-#: bug).  Tunable per server via ``max_body_bytes`` / ``--max-body-bytes``.
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Graceful-degradation chain the pool registry walks when a backend's
 #: warm prepare fails: each step trades speed for simplicity, ending at
@@ -452,235 +439,7 @@ class PoolRegistry:
             pool.close(wait=wait)
 
 
-class _ServerSocket(ThreadingHTTPServer):
-    """ThreadingHTTPServer wired back to the owning SimulationServer.
-
-    ``block_on_close`` (the default) makes ``server_close`` join
-    in-flight request threads — the first half of the graceful-shutdown
-    path; :meth:`SimulationServer.close` bounds that join with its
-    ``drain_timeout``.  The threads stay daemonic so a request that
-    outlives the drain budget is abandoned without holding interpreter
-    exit hostage.
-    """
-
-    daemon_threads = True
-    app: "SimulationServer"
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests into :class:`SimulationServer` handlers."""
-
-    protocol_version = "HTTP/1.1"
-
-    def version_string(self) -> str:
-        return f"repro-sim-server/{_version()}"
-
-    # the default handler logs every request to stderr; the server keeps
-    # counters instead (GET /v1/stats)
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    @property
-    def app(self) -> "SimulationServer":
-        return self.server.app  # type: ignore[attr-defined]
-
-    def _respond(self, status: int, document: "dict | str",
-                 headers: Mapping[str, str] | None = None) -> None:
-        # a str document is pre-rendered Prometheus exposition text
-        # (GET /metrics); everything else is the JSON wire format
-        if isinstance(document, str):
-            payload = document.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            payload = json.dumps(document).encode()
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            # an error path left request-body bytes unread: tell the
-            # keep-alive client this connection is done rather than let
-            # the leftovers corrupt its next request
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _discard_body(self) -> None:
-        """Consume an unread request body so a keep-alive connection stays
-        in sync; when that is impossible (absent, malformed or oversized
-        Content-Length) mark the connection for closing instead."""
-        try:
-            length = int(self.headers.get("Content-Length") or "0")
-        except ValueError:
-            length = -1
-        if 0 <= length <= self.app.max_body_bytes:
-            while length > 0:
-                chunk = self.rfile.read(min(length, 65536))
-                if not chunk:
-                    break
-                length -= len(chunk)
-        else:
-            self.close_connection = True
-
-    def _dispatch(self, routes: Mapping[str, str], other: Mapping[str, str]) -> None:
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        route_arg: str | None = None
-        if path.startswith("/v1/trace/"):
-            # the one parameterised route: /v1/trace/<id>
-            route_arg = path[len("/v1/trace/"):]
-            path = "/v1/trace"
-        handler_name = routes.get(path)
-        if handler_name is None:
-            self._discard_body()
-            if path in other:
-                self.app.count_error()
-                self._respond(405, error_to_json(
-                    "method_not_allowed",
-                    f"{path} does not accept {self.command}",
-                ))
-            else:
-                self.app.count_error()
-                self._respond(404, error_to_json(
-                    "unknown_route",
-                    f"no such route: {path} (see docs/api-reference.md)",
-                ))
-            return
-        self.app.count_request(path)
-        handler: Callable = getattr(self.app, handler_name)
-        headers: dict[str, str] = {}
-        recorder = self.app.recorder
-        tb: TraceBuilder | None = None
-        if recorder is not None and path in TRACED_ROUTES:
-            tb = recorder.begin(
-                path, sanitize_trace_id(self.headers.get(TRACE_HEADER))
-            )
-            headers[TRACE_HEADER] = tb.trace_id
-        try:
-            if self.command == "POST":
-                doc = self._read_json()
-                if tb is not None:
-                    tb.mark("http_parse")
-                status, document = handler(
-                    doc, self._request_timeout(), tb
-                )
-            else:
-                if route_arg is not None:
-                    status, document = handler(route_arg)
-                else:
-                    status, document = handler()
-        except ProtocolError as exc:
-            self.app.count_error()
-            status, document = exc.status, error_to_json(exc.kind, str(exc))
-            if exc.retry_after is not None:
-                headers["Retry-After"] = str(
-                    max(1, round(exc.retry_after))
-                )
-            if tb is not None:
-                tb.error(exc.kind, str(exc))
-        except DeadlineExceededError as exc:
-            # a single-run request that missed its deadline: the gateway-
-            # timeout status, same stable kind as a per-item batch error
-            self.app.count_error()
-            status, document = 504, error_to_json(error_kind(exc), str(exc))
-            if tb is not None:
-                tb.error(error_kind(exc), str(exc))
-        except WorkerCrashError as exc:
-            # the server's worker died on this request's account — a
-            # server-side failure, structured rather than a bare 500
-            self.app.count_error()
-            status, document = 500, error_to_json(error_kind(exc), str(exc))
-            if tb is not None:
-                tb.error(error_kind(exc), str(exc))
-        except AsimError as exc:
-            # the simulation itself rejected the request (bad spec
-            # semantics, a run-time machine error, a closed pool): the
-            # client's fault, structurally reported
-            self.app.count_error()
-            status, document = 400, error_to_json(
-                type(exc).__name__, str(exc)
-            )
-            if tb is not None:
-                tb.error(type(exc).__name__, str(exc))
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            self.app.count_error()
-            status, document = 500, error_to_json(
-                "internal_error", f"{type(exc).__name__}: {exc}"
-            )
-            if tb is not None:
-                tb.error("internal_error", f"{type(exc).__name__}: {exc}")
-        self._respond(status, document, headers)
-        if tb is not None:
-            # the serialize phase closes after the response bytes are on
-            # the socket, so the trace covers the full server-side wall
-            # time; finishing after _respond keeps export cost (JSONL /
-            # SQLite writes) off the client's measured latency.  A failed
-            # request keeps its ``error`` span terminal — the error-body
-            # write is folded into it rather than marked separately.
-            if tb.errored:
-                tb.extend_last()
-            else:
-                tb.mark("serialize")
-            recorder.finish(tb, status)
-
-    def _request_timeout(self) -> float | None:
-        """The per-run default deadline for this request: the
-        ``X-Request-Timeout`` header (seconds), else the server-wide
-        default.  Per-run ``timeout_seconds`` fields always win."""
-        header = self.headers.get("X-Request-Timeout")
-        if header is None:
-            return self.app.default_timeout
-        try:
-            value = float(header)
-        except ValueError:
-            value = -1.0
-        if value <= 0 or value != value:  # reject garbage and NaN
-            raise ProtocolError(
-                "X-Request-Timeout must be a positive number of seconds, "
-                f"got {header!r}", kind="invalid_timeout",
-            )
-        return value
-
-    def _read_json(self) -> object:
-        length_header = self.headers.get("Content-Length")
-        try:
-            length = int(length_header or "")
-        except ValueError:
-            length = -1
-        if length < 0:
-            # absent or malformed (including negative): nothing sane to
-            # read, so the connection cannot be kept in sync either
-            self.close_connection = True
-            raise ProtocolError(
-                "a JSON body with a valid non-negative Content-Length "
-                "header is required",
-                status=411, kind="length_required",
-            ) from None
-        if length > self.app.max_body_bytes:
-            self.close_connection = True
-            raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.app.max_body_bytes}-byte limit",
-                status=413, kind="body_too_large",
-            )
-        payload = self.rfile.read(length)
-        try:
-            return json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(
-                f"request body is not valid JSON: {exc}",
-                kind="malformed_json",
-            ) from exc
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(GET_ROUTES, POST_ROUTES)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(POST_ROUTES, GET_ROUTES)
-
-
-class SimulationServer:
+class SimulationServer(HttpApp):
     """The long-lived serving process: pools kept warm behind HTTP.
 
     ``port=0`` binds an ephemeral port (the end-to-end tests use this);
@@ -711,8 +470,15 @@ class SimulationServer:
     Use as a context manager, or call :meth:`start` (background thread,
     returns once the socket accepts) / :meth:`serve_forever` (blocking,
     the CLI path) and then :meth:`close` — which stops accepting,
-    finishes in-flight HTTP requests, and drains every pool.
+    finishes in-flight HTTP requests, and drains every pool.  ``/readyz``
+    reports not-ready from the moment :meth:`close` is called, so a load
+    balancer stops sending work before the listener goes away.
     """
+
+    NAME = "repro-sim-server"
+    GET_ROUTES = GET_ROUTES
+    POST_ROUTES = POST_ROUTES
+    TRACED_ROUTES = TRACED_ROUTES
 
     def __init__(
         self,
@@ -739,14 +505,6 @@ class SimulationServer:
         trace_ring: int = 256,
         tracing: bool = True,
     ) -> None:
-        if max_body_bytes <= 0:
-            raise ValueError(
-                f"max_body_bytes must be positive, got {max_body_bytes}"
-            )
-        if drain_timeout < 0:
-            raise ValueError(
-                f"drain_timeout must be >= 0, got {drain_timeout}"
-            )
         if default_timeout is not None and default_timeout <= 0:
             raise ValueError(
                 f"default_timeout must be positive, got {default_timeout}"
@@ -754,9 +512,6 @@ class SimulationServer:
         self.default_backend = backend
         self.default_executor = executor
         self.default_timeout = default_timeout
-        self.max_body_bytes = max_body_bytes
-        self.drain_timeout = drain_timeout
-        self.drain_failed = False
         self.gate = AdmissionGate(
             max_inflight=max_inflight, max_queue=max_queue,
             retry_after=retry_after,
@@ -783,117 +538,30 @@ class SimulationServer:
                 ring_size=trace_ring,
                 exporters=(exporter,) if exporter is not None else (),
             )
-        self.started_at = time.time()
-        self._requests: dict[str, int] = {}
-        self._errors = 0
-        self._counter_lock = threading.Lock()
-        self._thread: threading.Thread | None = None
-        self._closed = False
-        self._serve_started = False
-        self._http = _ServerSocket((host, port), _Handler)
-        self._http.app = self
+        # binding is the last step: a constructor that fails above
+        # leaves no listening socket behind
+        super().__init__(host, port, max_body_bytes=max_body_bytes,
+                         drain_timeout=drain_timeout)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self._http.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._http.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "SimulationServer":
-        """Serve from a background thread; the socket is already bound."""
-        self._serve_started = True
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="repro-sim-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`close` (the CLI path)."""
-        self._serve_started = True
-        self._http.serve_forever()
-
-    def close(self, wait: bool = True) -> bool:
-        """Graceful shutdown: stop accepting, drain requests, drain pools.
-
-        The drain is bounded by ``drain_timeout`` seconds and *reported*:
-        returns ``True`` when everything finished in time, ``False`` —
-        with :attr:`drain_failed` set — when in-flight request threads
-        outlived the budget and were abandoned (they are daemonic, so
-        the process can still exit).  ``/readyz`` reports not-ready from
-        the moment this is called, so a load balancer stops sending work
-        before the listener goes away.
-        """
-        if self._closed:
-            return not self.drain_failed
-        self._closed = True
-        if self._serve_started:
-            # BaseServer.shutdown blocks until the serve loop acknowledges,
-            # so it must only run when a loop was (or is) running
-            self._http.shutdown()        # stop the accept loop
-        deadline = time.monotonic() + self.drain_timeout
-        # server_close joins in-flight request threads with no timeout of
-        # its own (daemon_threads is off), so run it on a sacrificial
-        # thread and bound the wait here — a hung request must not turn
-        # graceful shutdown into an unbounded hang
-        closer = threading.Thread(
-            target=self._http.server_close,
-            name="repro-sim-server-close",
-            daemon=True,
-        )
-        closer.start()
-        closer.join(timeout=max(0.0, deadline - time.monotonic()))
-        if closer.is_alive():
-            self.drain_failed = True
-        if self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            if self._thread.is_alive():
-                self.drain_failed = True
+    def _release(self, wait: bool) -> None:
         # a failed drain means something is hung inside a pool: do not
         # wait on its chunks either, or close() would hang exactly where
         # the bounded join just refused to
-        self.registry.close_all(wait=wait and not self.drain_failed)
+        self.registry.close_all(wait=wait)
         if self.recorder is not None:
             self.recorder.close()
-        return not self.drain_failed
-
-    def __enter__(self) -> "SimulationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- request accounting --------------------------------------------------
-
-    def count_request(self, route: str) -> None:
-        with self._counter_lock:
-            self._requests[route] = self._requests.get(route, 0) + 1
-
-    def count_error(self) -> None:
-        with self._counter_lock:
-            self._errors += 1
 
     # -- GET handlers --------------------------------------------------------
 
-    def handle_healthz(self) -> tuple[int, dict]:
+    def handle_healthz(self, request: Request) -> tuple[int, dict, dict]:
         return 200, {
             "protocol": PROTOCOL_VERSION,
             "status": "ok",
             "version": _version(),
             "uptime_seconds": time.time() - self.started_at,
-        }
+        }, {}
 
-    def handle_readyz(self) -> tuple[int, dict]:
+    def handle_readyz(self, request: Request) -> tuple[int, dict, dict]:
         """Readiness, as distinct from liveness: a 503 here means "route
         new work elsewhere", not "restart me" — the server is draining
         toward shutdown or every admission slot is taken."""
@@ -910,15 +578,15 @@ class SimulationServer:
                 "protocol": PROTOCOL_VERSION,
                 "ready": True,
                 "admission": admission,
-            }
+            }, {}
         return 503, {
             "protocol": PROTOCOL_VERSION,
             "ready": False,
             "reason": reason,
             "admission": admission,
-        }
+        }, {}
 
-    def handle_machines(self) -> tuple[int, dict]:
+    def handle_machines(self, request: Request) -> tuple[int, dict, dict]:
         return 200, {
             "protocol": PROTOCOL_VERSION,
             "machines": [
@@ -929,9 +597,9 @@ class SimulationServer:
                 }
                 for entry in all_machines()
             ],
-        }
+        }, {}
 
-    def handle_backends(self) -> tuple[int, dict]:
+    def handle_backends(self, request: Request) -> tuple[int, dict, dict]:
         from repro.compiler.specopt import SpecOptPasses
 
         backends = []
@@ -951,12 +619,10 @@ class SimulationServer:
                 # a backend has no generated lane entry point
                 "executors": list(EXECUTOR_NAMES),
             })
-        return 200, {"protocol": PROTOCOL_VERSION, "backends": backends}
+        return 200, {"protocol": PROTOCOL_VERSION, "backends": backends}, {}
 
-    def handle_stats(self) -> tuple[int, dict]:
-        with self._counter_lock:
-            by_route = dict(self._requests)
-            errors = self._errors
+    def handle_stats(self, request: Request) -> tuple[int, dict, dict]:
+        by_route, errors = self.request_counters()
         document = {
             "protocol": PROTOCOL_VERSION,
             "server": {
@@ -1007,10 +673,11 @@ class SimulationServer:
             }
         else:
             document["disk_cache"] = None
-        return 200, document
+        return 200, document, {}
 
-    def handle_trace(self, trace_id: str | None = None) -> tuple[int, dict]:
+    def handle_trace(self, request: Request) -> tuple[int, dict, dict]:
         """``GET /v1/trace/<id>``: one assembled trace from the ring."""
+        trace_id = request.arg
         trace = (
             self.recorder.get(trace_id)
             if self.recorder is not None and trace_id else None
@@ -1024,13 +691,11 @@ class SimulationServer:
             )
         document = trace.to_json()
         document["protocol"] = PROTOCOL_VERSION
-        return 200, document
+        return 200, document, {}
 
-    def handle_metrics(self) -> tuple[int, str]:
+    def handle_metrics(self, request: Request) -> tuple[int, str, dict]:
         """``GET /metrics``: Prometheus text exposition format."""
-        with self._counter_lock:
-            by_route = dict(self._requests)
-            errors = self._errors
+        by_route, errors = self.request_counters()
         admission = self.gate.snapshot()
         resilience = self.registry.resilience_totals()
         lines = [
@@ -1076,7 +741,7 @@ class SimulationServer:
         ]
         if self.recorder is not None:
             lines.extend(self.recorder.render_metrics())
-        return 200, "\n".join(lines) + "\n"
+        return 200, "\n".join(lines) + "\n", {}
 
     # -- POST handlers -------------------------------------------------------
 
@@ -1141,27 +806,41 @@ class SimulationServer:
         finally:
             self.gate.release()
 
-    def handle_batch(
-        self, doc: object, default_timeout: float | None = None,
-        tb: TraceBuilder | None = None,
-    ) -> tuple[int, dict]:
+    def _request_timeout(self, headers: Message) -> float | None:
+        """The per-run default deadline for a request: the
+        ``X-Request-Timeout`` header (seconds), else the server-wide
+        default.  Per-run ``timeout_seconds`` fields always win."""
+        header = headers.get("X-Request-Timeout")
+        if header is None:
+            return self.default_timeout
+        try:
+            value = float(header)
+        except ValueError:
+            value = -1.0
+        if value <= 0 or value != value:  # reject garbage and NaN
+            raise ProtocolError(
+                "X-Request-Timeout must be a positive number of seconds, "
+                f"got {header!r}", kind="invalid_timeout",
+            )
+        return value
+
+    def handle_batch(self, request: Request) -> tuple[int, dict, dict]:
+        timeout = self._request_timeout(request.headers)
         batch = parse_batch_request(
-            doc, self.default_backend, self.default_executor
+            request.doc, self.default_backend, self.default_executor
         )
-        result, degraded = self._run_parsed(batch, default_timeout, tb)
+        result, degraded = self._run_parsed(batch, timeout, request.trace)
         document = batch_result_to_json(result)
         if degraded is not None:
             document["degraded"] = degraded
-        return 200, document
+        return 200, document, {}
 
-    def handle_run(
-        self, doc: object, default_timeout: float | None = None,
-        tb: TraceBuilder | None = None,
-    ) -> tuple[int, dict]:
+    def handle_run(self, request: Request) -> tuple[int, dict, dict]:
+        timeout = self._request_timeout(request.headers)
         batch = parse_run_request(
-            doc, self.default_backend, self.default_executor
+            request.doc, self.default_backend, self.default_executor
         )
-        result, degraded = self._run_parsed(batch, default_timeout, tb)
+        result, degraded = self._run_parsed(batch, timeout, request.trace)
         item = result.items[0]
         if not item.ok:
             raise item.error
@@ -1175,4 +854,4 @@ class SimulationServer:
         }
         if degraded is not None:
             response["degraded"] = degraded
-        return 200, response
+        return 200, response, {}

@@ -3,9 +3,9 @@ fleet router — implements must be documented in ``docs/api-reference.md``.
 
 Two sources of truth are checked against the doc: the live routing
 tables (``GET_ROUTES``/``POST_ROUTES`` of both ``serving/server.py`` and
-``serving/router.py``), and a source scan of both modules for
-route-shaped string literals — so a route added outside the tables
-cannot dodge the gate either.  The serving guide and README links are
+``serving/router.py``), and a source scan of those modules and of the
+shared HTTP edge (``serving/http.py``) for route-shaped string literals —
+so a route added outside the tables cannot dodge the gate either.  The serving guide and README links are
 covered too: a renamed doc file breaks here, not in a user's browser.
 """
 
@@ -30,8 +30,9 @@ API_REFERENCE = REPO_ROOT / "docs" / "api-reference.md"
 SERVING_GUIDE = REPO_ROOT / "docs" / "serving.md"
 SERVER_SOURCE = REPO_ROOT / "src" / "repro" / "serving" / "server.py"
 ROUTER_SOURCE = REPO_ROOT / "src" / "repro" / "serving" / "router.py"
+HTTP_SOURCE = REPO_ROOT / "src" / "repro" / "serving" / "http.py"
 
-#: String literals in server.py/router.py that look like HTTP routes.
+#: String literals in server.py/router.py/http.py that look like HTTP routes.
 ROUTE_LITERAL = re.compile(r'"(/(?:v\d+/)?[a-z_]+)"')
 
 
@@ -62,7 +63,7 @@ def test_every_router_endpoint_is_documented():
 
 def test_every_route_literal_in_server_source_is_documented():
     text = API_REFERENCE.read_text()
-    for source_path in (SERVER_SOURCE, ROUTER_SOURCE):
+    for source_path in (SERVER_SOURCE, ROUTER_SOURCE, HTTP_SOURCE):
         literals = set(ROUTE_LITERAL.findall(source_path.read_text()))
         assert literals  # the scan itself must keep finding the routes
         for literal in literals:

@@ -286,6 +286,40 @@ class TestFleetHttp:
             rebuilt = result_from_json(wire["result"])
             assert compare_results(ref_item.result, rebuilt) == []
 
+    def test_request_headers_are_case_insensitive(self, fleet):
+        # HTTP header names are case-insensitive: a lower-case trace id
+        # and deadline must reach the node exactly as a single server
+        # would honour them
+        import http.client
+
+        from repro.serving.protocol import TRACE_HEADER
+
+        body = json.dumps({"machine": "counter", "cycles": CYCLES})
+        connection = http.client.HTTPConnection(
+            fleet.router.host, fleet.router.port, timeout=60
+        )
+        try:
+            connection.request("POST", "/v1/run", body=body, headers={
+                "content-type": "application/json",
+                "x-repro-trace": "lower-case-trace",
+                "x-request-timeout": "30",
+            })
+            response = connection.getresponse()
+            assert response.status == 200, response.read()
+            response.read()
+            assert response.headers[TRACE_HEADER] == "lower-case-trace"
+            # a garbage deadline proves the header reached the node
+            connection.request("POST", "/v1/run", body=body, headers={
+                "content-type": "application/json",
+                "x-request-timeout": "soon",
+            })
+            response = connection.getresponse()
+            document = json.loads(response.read())
+            assert response.status == 400
+            assert document["error"]["type"] == "invalid_timeout"
+        finally:
+            connection.close()
+
     def test_discovery_routes_proxied(self, fleet):
         status, doc, headers = get(fleet, "/v1/machines")
         assert status == 200

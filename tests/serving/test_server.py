@@ -6,7 +6,9 @@ bearing assertions: batches served over HTTP are bit-identical to
 in-process ``SimulationPool`` runs on every backend; malformed and
 unsupported requests come back as structured 4xx errors, never stack
 traces; pools are created lazily and kept warm across requests; startup
-prunes the disk cache; shutdown is graceful.
+prunes the disk cache; shutdown is graceful.  The HTTP-edge tests (body
+limits, keep-alive after an unread body, the reported drain) run on both
+front doors: the server and a ``FleetRouter`` over it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ import pytest
 
 from repro.core.comparison import compare_results
 from repro.core.simulator import BACKEND_NAMES
-from repro.serving import RunRequest, SimulationPool, SimulationServer
+from repro.serving import (
+    FleetRouter,
+    RunRequest,
+    SimulationPool,
+    SimulationServer,
+)
 from repro.serving.protocol import result_from_json
 
 
@@ -27,6 +34,47 @@ from repro.serving.protocol import result_from_json
 def server():
     with SimulationServer(port=0, artifact_cache=False) as running:
         yield running
+
+
+class OneNodeSupervisor:
+    """The slice of ``FleetSupervisor`` a ``FleetRouter`` reads, fronting
+    one in-process server: a real router over a real node, without
+    spawning a fleet."""
+
+    draining = False
+
+    def __init__(self, url):
+        self.url = url
+        self.nodes = [url]
+
+    def ready_nodes(self):
+        return [("node-0", self.url)]
+
+    def node_ids(self):
+        return ["node-0"]
+
+    def mark_suspect(self, node_id, reason):
+        pass
+
+
+def open_front_door(kind, node, **options):
+    """A server, or a router whose one node is *node*, not yet started."""
+    if kind == "server":
+        return SimulationServer(port=0, artifact_cache=False, **options)
+    return FleetRouter(OneNodeSupervisor(node.url), **options)
+
+
+FRONT_DOORS = ("server", "router")
+
+
+@pytest.fixture(scope="module", params=FRONT_DOORS)
+def front_door(request, server):
+    """Both HTTP front doors share one edge; edge tests run on each."""
+    if request.param == "server":
+        yield server
+    else:
+        with open_front_door("router", server) as router:
+            yield router
 
 
 def get(server, path):
@@ -184,11 +232,11 @@ class TestErrors:
         assert status == 422
         assert document["error"]["type"] == "unsupported_capability"
 
-    def test_negative_content_length_is_structured_4xx(self, server):
+    def test_negative_content_length_is_structured_4xx(self, front_door):
         import http.client
 
-        connection = http.client.HTTPConnection(server.host, server.port,
-                                                timeout=30)
+        connection = http.client.HTTPConnection(front_door.host,
+                                                front_door.port, timeout=30)
         try:
             connection.putrequest("POST", "/v1/run")
             connection.putheader("Content-Length", "-5")
@@ -200,14 +248,14 @@ class TestErrors:
         finally:
             connection.close()
 
-    def test_keep_alive_survives_an_unread_body_error(self, server):
+    def test_keep_alive_survives_an_unread_body_error(self, front_door):
         # a POST to a GET-only route answers 405 without reading the
         # body; the connection must stay usable (or be closed cleanly),
         # never serve the leftover body bytes as the next request
         import http.client
 
-        connection = http.client.HTTPConnection(server.host, server.port,
-                                                timeout=30)
+        connection = http.client.HTTPConnection(front_door.host,
+                                                front_door.port, timeout=30)
         try:
             body = json.dumps({"x": 1}).encode()
             connection.request("POST", "/healthz", body=body)
@@ -425,9 +473,9 @@ class TestServing:
 
 
 class TestRobustness:
-    def test_configurable_body_limit_answers_413(self):
-        with SimulationServer(port=0, artifact_cache=False,
-                              max_body_bytes=512) as small:
+    @pytest.mark.parametrize("kind", FRONT_DOORS)
+    def test_configurable_body_limit_answers_413(self, server, kind):
+        with open_front_door(kind, server, max_body_bytes=512) as small:
             status, document = post(small, "/v1/run", {
                 "machine": "counter", "cycles": 4, "tag": "x" * 2048,
             })
@@ -443,12 +491,26 @@ class TestRobustness:
         with pytest.raises(ValueError, match="max_body_bytes"):
             SimulationServer(port=0, artifact_cache=False, max_body_bytes=0)
 
-    def test_close_reports_a_clean_drain(self):
-        server = SimulationServer(port=0, artifact_cache=False,
-                                  drain_timeout=5.0).start()
-        assert get(server, "/healthz")[0] == 200
-        assert server.close() is True
-        assert server.drain_failed is False
+    @pytest.mark.parametrize("kind", FRONT_DOORS)
+    def test_close_reports_a_clean_drain(self, server, kind):
+        front_door = open_front_door(kind, server, drain_timeout=5.0).start()
+        assert get(front_door, "/healthz")[0] == 200
+        assert front_door.close() is True
+        assert front_door.drain_failed is False
+
+    def test_readyz_503_counts_as_an_error(self):
+        # every answer with a status >= 400 is an error, whether a
+        # handler raised it or returned it (the saturated readiness probe)
+        with SimulationServer(port=0, artifact_cache=False,
+                              max_inflight=1) as small:
+            small.gate.acquire()
+            try:
+                status, document = get(small, "/readyz")
+            finally:
+                small.gate.release()
+            assert status == 503
+            assert document["reason"] == "saturated"
+            assert get(small, "/v1/stats")[1]["requests"]["errors"] == 1
 
     def test_drain_timeout_must_be_non_negative(self):
         with pytest.raises(ValueError, match="drain_timeout"):
